@@ -26,11 +26,12 @@ Run from the repo root::
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
+
+from bench_output import write_record
 
 #: The one-function edit: bump an immediate inside ``sys_stat``
 #: (imm8 both before and after, so no function moves and the data
@@ -110,7 +111,9 @@ def run_benchmarks(campaign="C", seed=2003, stride=8, max_specs=None):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_delta.json")
+    parser.add_argument("--output", default=None,
+                        help="default BENCH_delta.json; with --smoke, "
+                             "results/BENCH_delta.smoke.json")
     parser.add_argument("--campaign", default="C")
     parser.add_argument("--seed", type=int, default=2003)
     parser.add_argument("--stride", type=int, default=8)
@@ -124,11 +127,7 @@ def main(argv=None):
     max_specs = 36 if args.smoke else args.max_specs
     record = run_benchmarks(campaign=args.campaign, seed=args.seed,
                             stride=args.stride, max_specs=max_specs)
-    with open(args.output, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(record, indent=2, sort_keys=True))
-    print("wrote %s" % args.output, file=sys.stderr)
+    write_record("delta", record, args.smoke, args.output)
     status = 0
     if record["rerun_fraction"] > args.max_fraction:
         print("GATE FAILED: re-run fraction %.4f exceeds %.2f"

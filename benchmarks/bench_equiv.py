@@ -28,11 +28,12 @@ Run from the repo root::
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
+
+from bench_output import write_record
 
 DEFAULT_FUNCTIONS = ("ext2_free_all_blocks",)
 
@@ -96,7 +97,9 @@ def run_benchmarks(campaign="A", seed=2003, stride=1, max_specs=None,
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_equiv.json")
+    parser.add_argument("--output", default=None,
+                        help="default BENCH_equiv.json; with --smoke, "
+                             "results/BENCH_equiv.smoke.json")
     parser.add_argument("--campaign", default="A")
     parser.add_argument("--seed", type=int, default=2003)
     parser.add_argument("--stride", type=int, default=1)
@@ -120,11 +123,7 @@ def main(argv=None):
                             max_specs=args.max_specs,
                             functions=tuple(args.functions),
                             jobs=args.jobs)
-    with open(args.output, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(record, indent=2, sort_keys=True))
-    print("wrote %s" % args.output, file=sys.stderr)
+    write_record("equiv", record, args.smoke, args.output)
     status = 0
     if record["injected_fraction"] > args.max_fraction:
         print("GATE FAILED: injected fraction %.4f exceeds %.2f"

@@ -25,11 +25,12 @@ Run from the repo root::
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
+
+from bench_output import write_record
 
 
 def run_benchmarks(campaign="A", seed=2003, stride=40, max_specs=36,
@@ -96,7 +97,9 @@ def run_benchmarks(campaign="A", seed=2003, stride=40, max_specs=36,
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_fabric.json")
+    parser.add_argument("--output", default=None,
+                        help="default BENCH_fabric.json; with --smoke, "
+                             "results/BENCH_fabric.smoke.json")
     parser.add_argument("--campaign", default="A")
     parser.add_argument("--seed", type=int, default=2003)
     parser.add_argument("--stride", type=int, default=40)
@@ -111,11 +114,7 @@ def main(argv=None):
     record = run_benchmarks(campaign=args.campaign, seed=args.seed,
                             stride=args.stride, max_specs=max_specs,
                             shards=args.shards, pool=args.pool)
-    with open(args.output, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(record, indent=2, sort_keys=True))
-    print("wrote %s" % args.output, file=sys.stderr)
+    write_record("fabric", record, args.smoke, args.output)
     if not record["boot_cost_eliminated"]:
         print("GATE FAILED: warm-store fabric run booted %d times "
               "(want 0)" % record["boots_warm"], file=sys.stderr)

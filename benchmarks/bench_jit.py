@@ -23,9 +23,10 @@ Run from the repo root::
 """
 
 import argparse
-import json
 import sys
 import time
+
+from bench_output import write_record
 
 #: Workload iteration overrides: long enough that per-trace compile
 #: time amortizes and the measured ratio approaches the asymptotic one.
@@ -104,7 +105,9 @@ def run_benchmarks(workload="syscall", repeats=3):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_jit.json")
+    parser.add_argument("--output", default=None,
+                        help="default BENCH_jit.json; with --smoke, "
+                             "results/BENCH_jit.smoke.json")
     parser.add_argument("--workload", default="syscall")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--smoke", action="store_true",
@@ -116,11 +119,7 @@ def main(argv=None):
 
     repeats = 2 if args.smoke else args.repeats
     record = run_benchmarks(workload=args.workload, repeats=repeats)
-    with open(args.output, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(record, indent=2, sort_keys=True))
-    print("wrote %s" % args.output, file=sys.stderr)
+    write_record("jit", record, args.smoke, args.output)
     if args.gate is not None and record["speedup"] < args.gate:
         print("GATE FAILED: speedup %.3fx < %.2fx"
               % (record["speedup"], args.gate), file=sys.stderr)

@@ -18,9 +18,10 @@ Run from the repo root::
 """
 
 import argparse
-import json
 import sys
 import time
+
+from bench_output import write_record
 
 #: (label, channels) measured against the untraced baseline.
 _CONFIGS = (
@@ -86,7 +87,9 @@ def run_benchmarks(workload="syscall", repeats=3):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--output", default="BENCH_trace.json")
+    parser.add_argument("--output", default=None,
+                        help="default BENCH_trace.json; with --smoke, "
+                             "results/BENCH_trace.smoke.json")
     parser.add_argument("--workload", default="syscall")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--smoke", action="store_true",
@@ -98,11 +101,7 @@ def main(argv=None):
 
     repeats = 1 if args.smoke else args.repeats
     record = run_benchmarks(workload=args.workload, repeats=repeats)
-    with open(args.output, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(json.dumps(record, indent=2, sort_keys=True))
-    print("wrote %s" % args.output, file=sys.stderr)
+    write_record("trace", record, args.smoke, args.output)
     if args.gate is not None and record["overhead_default"] > args.gate:
         print("GATE FAILED: overhead %.3fx > %.2fx"
               % (record["overhead_default"], args.gate),

@@ -45,6 +45,9 @@ from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
 #: interpreter itself is wedged.
 DEFAULT_TIMEOUT = 300.0
 
+#: Seconds to wait for an idle worker to exit at shutdown.
+SHUTDOWN_JOIN = 2.0
+
 #: How a worker failure is reported in the HARNESS_ERROR repro bundle.
 KIND_EXCEPTION = "harness_exception"
 KIND_WORKER_DIED = "worker_died"
@@ -577,6 +580,15 @@ class CampaignEngine:
                         worker.conn.send(None)
                 except (OSError, BrokenPipeError):
                     pass
+            for worker in workers:
+                if worker.current is None:
+                    # An idle worker exits on the sentinel.  One that
+                    # died right after delivering the last result may
+                    # have ended the loop before the liveness check saw
+                    # it; its exit code still counts the death.
+                    worker.process.join(timeout=SHUTDOWN_JOIN)
+                    if worker.process.exitcode not in (None, 0):
+                        meta["worker_failures"] += 1
                 worker.kill()
 
     def _assign_idle(self, workers, queue, not_before, config):

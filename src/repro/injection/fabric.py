@@ -62,8 +62,9 @@ from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
 #: Version of the shard-journal header layout.
 SHARD_SCHEMA_VERSION = 1
 
-#: Version of the boot-snapshot store's pickle payload.
-STORE_VERSION = 1
+#: Version of the boot-snapshot store's pickle payload (2: golden-run
+#: checkpoints and the first-hit map replace the coverage list).
+STORE_VERSION = 2
 
 #: How a shard failure is reported in coordinator telemetry.
 SHARD_DIED = "shard_died"
@@ -359,8 +360,9 @@ class SnapshotStore:
 
     Booting to the injection point dominates a shard's startup cost;
     the store keys frozen :class:`~repro.injection.runner.GoldenRun`
-    bundles (post-boot machine snapshot, golden workload result,
-    coverage, boot cycle count) on ``(kernel fingerprint, workload,
+    bundles (post-boot machine snapshot and the golden run's
+    checkpoints, golden workload result, first-hit map, boot cycle
+    count) on ``(kernel fingerprint, workload,
     recovery, disk_retries)`` so a kernel/workload pair boots **once**
     per store, not once per shard process.  Entries are written
     atomically and verified against the live kernel on load; a
@@ -450,10 +452,13 @@ class SnapshotStore:
         atomic_write_json(path, {"value": value})
 
 
-#: MachineSnapshot attributes beyond the CPU field dict that the store
-#: serializes (the kernel/layout references are re-attached on thaw).
-_SNAP_STATE = ("ram", "cr3", "paging_enabled", "disk", "console",
-               "regs", "segs", "dr", "fields")
+#: MachineSnapshot attributes the store serializes per checkpoint.  The
+#: RAM and disk images are stored once (every checkpoint shares the
+#: boot snapshot's); the kernel/layout references are re-attached on
+#: thaw.  Pickling the checkpoints in one payload keeps the page
+#: objects they share shared.
+_SNAP_STATE = ("cr3", "paging_enabled", "console", "regs", "segs", "dr",
+               "fields", "disk_regs", "pages", "blocks")
 
 #: Golden RunResult fields the store round-trips (a golden run shut
 #: down cleanly, so there are no crash records and no trace).
@@ -462,17 +467,20 @@ _RESULT_STATE = ("status", "exit_code", "console", "cycles", "instret",
 
 
 def _freeze_golden(run):
-    snap = run.snapshot
+    boot = run.snapshot
     return {
         "version": STORE_VERSION,
-        "kernel": kernel_fingerprint(snap.kernel),
+        "kernel": kernel_fingerprint(boot.kernel),
         "workload": run.workload,
         "boot_cycles": run.boot_cycles,
-        "coverage": sorted(run.coverage),
+        "first_index": run.first_index,
         "disk_image": bytes(run.disk_image.image)
         if hasattr(run.disk_image, "image") else bytes(run.disk_image),
-        "snapshot": {name: getattr(snap, name)
-                     for name in _SNAP_STATE},
+        "ram": boot.ram,
+        "disk": boot.disk,
+        "checkpoints": [{name: getattr(snap, name)
+                         for name in _SNAP_STATE}
+                        for snap in run.checkpoints],
         "result": {name: getattr(run.result, name)
                    for name in _RESULT_STATE},
     }
@@ -482,21 +490,24 @@ def _thaw_golden(payload, kernel):
     from repro.machine.machine import MachineSnapshot, RunResult
     from repro.injection.runner import GoldenRun
 
-    snap = MachineSnapshot.__new__(MachineSnapshot)
-    snap.kernel = kernel
-    snap.layout = kernel.layout
-    for name in _SNAP_STATE:
-        setattr(snap, name, payload["snapshot"][name])
+    checkpoints = []
+    for state in payload["checkpoints"]:
+        snap = MachineSnapshot.__new__(MachineSnapshot)
+        snap.kernel = kernel
+        snap.layout = kernel.layout
+        snap.ram = payload["ram"]
+        snap.disk = payload["disk"]
+        for name in _SNAP_STATE:
+            setattr(snap, name, state[name])
+        checkpoints.append(snap)
     fields = payload["result"]
     result = RunResult(fields["status"], fields["exit_code"],
                        fields["console"], None, fields["cycles"],
                        fields["instret"], fields["disk_image"],
                        detail=fields["detail"])
-    run = GoldenRun(payload["workload"], result,
-                    set(payload["coverage"]), payload["disk_image"],
-                    payload["boot_cycles"])
-    run.snapshot = snap
-    return run
+    return GoldenRun(payload["workload"], result, payload["first_index"],
+                     payload["disk_image"], payload["boot_cycles"],
+                     checkpoints)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ trigger, flips the bit on first execution of the target instruction,
 runs under a watchdog, and classifies the outcome against the golden
 run.  Activation is decided exactly from golden-run coverage (the run is
 deterministic; behaviour diverges only once the corrupted instruction
-executes).
+executes).  For the same reason an injected run need not replay the
+golden prefix: it starts from the golden run's last checkpoint before
+the target first executes.
 """
 
 import json
@@ -34,7 +36,8 @@ from repro.injection.outcomes import (
 )
 from repro.injection.severity import grade_severity
 from repro.kernel.layout import KernelLayout
-from repro.machine.machine import Machine, build_standard_disk
+from repro.machine.machine import CheckpointRecorder, Machine, \
+    build_standard_disk
 from repro.tracing import DEFAULT_CHANNELS, diff_traces
 
 
@@ -42,6 +45,9 @@ from repro.tracing import DEFAULT_CHANNELS, diff_traces
 #: injector is armed only once the marker has appeared (the paper
 #: injects into a running system).
 BOOT_MARKER = "INIT: starting workload"
+
+#: Cycles between golden-run checkpoints: one timer tick (20 000).
+TIMER_INTERVAL = KernelLayout.TIMER_INTERVAL
 
 
 def _console_subsumes(golden_text, observed_text):
@@ -58,20 +64,36 @@ def _console_subsumes(golden_text, observed_text):
 
 
 class GoldenRun:
-    """Reference (fault-free) execution of one workload."""
+    """Reference (fault-free) execution of one workload.
 
-    def __init__(self, workload, result, coverage, disk_image,
-                 boot_cycles):
-        self.snapshot = None              # post-boot MachineSnapshot
+    ``checkpoints[0]`` is the post-boot snapshot; the rest are
+    copy-on-write checkpoints taken every :data:`TIMER_INTERVAL` cycles
+    of the workload.  ``first_index`` maps every post-boot executed
+    address to the last checkpoint taken before its first execution.
+    """
+
+    def __init__(self, workload, result, first_index, disk_image,
+                 boot_cycles, checkpoints):
+        self.checkpoints = checkpoints
+        self.first_index = first_index
         self.workload = workload
         self.result = result
-        self.coverage = coverage          # post-boot executed EIPs
         self.disk_image = disk_image      # pristine boot image
         self.boot_cycles = boot_cycles
         self.console = result.console
         self.exit_code = result.exit_code
         self.cycles = result.cycles
         self.final_disk = result.disk_image
+
+    @property
+    def snapshot(self):
+        """The post-boot MachineSnapshot."""
+        return self.checkpoints[0]
+
+    @property
+    def coverage(self):
+        """Post-boot executed EIPs."""
+        return self.first_index.keys()
 
     @property
     def workload_cycles(self):
@@ -193,9 +215,10 @@ class InjectionHarness:
                 if run is not None:
                     # Execution mode is not part of the store key
                     # (translated results are bit-identical); stamp the
-                    # thawed snapshot so clones run in this harness's
+                    # thawed checkpoints so clones run in this harness's
                     # mode regardless of who froze it.
-                    run.snapshot.translate = self.translate
+                    for snapshot in run.checkpoints:
+                        snapshot.translate = self.translate
                     self._golden[workload] = run
                     return run
             disk = build_standard_disk(self.binaries, workload)
@@ -212,22 +235,24 @@ class InjectionHarness:
                                       max_cycles=10_000_000)
             self.boots += 1
             boot_cycles = machine.cpu.cycles
-            snapshot = machine.snapshot()
+            # A traced harness keeps only the boot checkpoint: the
+            # divergence diff aligns golden and injected traces
+            # stamp-for-stamp from boot.
+            recorder = CheckpointRecorder(
+                machine, None if self.trace else TIMER_INTERVAL)
             if self.trace:
                 # Enabled *after* the snapshot so the golden trace and
                 # every per-experiment clone's trace start from the
                 # same machine state and align stamp-for-stamp.
                 machine.enable_trace(channels=self.trace_channels,
                                      capacity=self.trace_capacity)
-            coverage = set()
             result = machine.run(max_cycles=120_000_000,
-                                 coverage=coverage)
+                                 checkpoints=recorder)
             if result.status != "shutdown" or result.exit_code != 0:
                 raise RuntimeError("golden run of %r failed: %r"
                                    % (workload, result))
-            run = GoldenRun(workload, result, coverage, disk,
-                            boot_cycles)
-            run.snapshot = snapshot
+            run = GoldenRun(workload, result, recorder.first_index, disk,
+                            boot_cycles, recorder.checkpoints)
             self._golden[workload] = run
             if store is not None:
                 store.save(key, run)
@@ -356,9 +381,12 @@ class InjectionHarness:
             return InjectionResult(outcome=NOT_ACTIVATED, activated=False,
                                    **base)
         golden = self.golden(spec.workload)
-        # Clone the booted machine instead of re-running the (identical,
-        # fault-free) boot: same protocol, ~2x the campaign throughput.
-        machine = golden.snapshot.clone()
+        # Clone the golden run's last checkpoint before the target first
+        # executes instead of re-running the (identical, fault-free)
+        # boot and workload prefix: every fault model triggers on DR0 at
+        # spec.instr_addr, and nothing differs from golden before that.
+        machine = golden.checkpoints[
+            golden.first_index[spec.instr_addr]].clone()
         if self.trace:
             machine.enable_trace(channels=self.trace_channels,
                                  capacity=self.trace_capacity)
@@ -373,10 +401,14 @@ class InjectionHarness:
                 m.flip_bit(spec.target_byte_addr, spec.bit)
 
             machine.arm_breakpoint(spec.instr_addr, callback)
-        budget = machine.cpu.cycles \
+        # Anchored at boot, not at the clone's cycle counter, so the
+        # deadline does not depend on which checkpoint the run started
+        # from.
+        budget = golden.boot_cycles \
             + golden.workload_cycles * self.watchdog_factor \
             + self.watchdog_slack
         result = machine.run(max_cycles=budget)
+        machine.release()
         outcome = self._classify(spec, base, state, golden, result,
                                  grade)
         if self.trace and outcome.activated:

@@ -8,11 +8,14 @@ disk image for severity grading.
 """
 
 import struct
+from itertools import compress, count
+from operator import ne
 
 from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
 from repro.cpu.devices import ConsoleDevice, DiskDevice, DumpDevice, \
     MachineShutdown, ShutdownDevice
-from repro.cpu.memory import MemoryBus, PageTableBuilder
+from repro.cpu.memory import PAGE_SHIFT, PAGE_SIZE, MemoryBus, \
+    PageTableBuilder
 from repro.cpu.traps import TripleFault
 from repro.kernel.layout import KernelLayout
 from repro.machine.disk import LIBC_CONTENT, mkfs
@@ -290,16 +293,35 @@ class Machine:
         """Freeze the current state (see :class:`MachineSnapshot`)."""
         return MachineSnapshot(self)
 
+    def release(self):
+        """Free this machine's RAM and disk buffers; it cannot run again.
+
+        A machine's object graph is cyclic (devices and armed hooks
+        point back at the bus and the CPU), so refcounting never frees
+        an abandoned machine: its buffers wait for a full collection.
+        Campaigns release each clone once its run is classified.
+        """
+        self.bus.ram.clear()
+        self.disk.image.clear()
+
     # -- running -------------------------------------------------------------
 
-    def run(self, max_cycles=DEFAULT_WATCHDOG, coverage=None):
-        """Boot/resume the machine until it stops; returns a RunResult."""
+    def run(self, max_cycles=DEFAULT_WATCHDOG, checkpoints=None):
+        """Boot/resume the machine until it stops; returns a RunResult.
+
+        With *checkpoints* (a :class:`CheckpointRecorder` of this
+        machine) the run goes in the recorder's chunks, checkpointing
+        between them and collecting coverage.
+        """
         cpu = self.cpu
         status = "watchdog"
         exit_code = None
         detail = ""
         try:
-            cpu.run(max_cycles, coverage=coverage)
+            if checkpoints is not None:
+                checkpoints.run(max_cycles)
+            else:
+                cpu.run(max_cycles)
         except MachineShutdown as stop:
             status = "shutdown"
             exit_code = stop.code
@@ -398,27 +420,45 @@ class Machine:
 
 
 class MachineSnapshot:
-    """Frozen machine state (RAM, disk, CPU, console) for fast cloning.
+    """Frozen machine state (RAM, disk, CPU, devices) for fast cloning.
 
     Booting to the injection point costs more than most injected runs;
     campaigns snapshot the freshly-booted machine once per workload and
     clone it per experiment.  Cloning copies every mutable buffer, so a
     clone is exactly as pristine as a fresh boot (verified by test).
+
+    A snapshot taken with *base* is a copy-on-write checkpoint: it
+    shares *base*'s RAM and disk images and keeps only *pages* and
+    *blocks*, ``{index: bytes}`` maps of the 4 KiB RAM pages and disk
+    blocks that differ from them (see :class:`CheckpointRecorder`).
     """
 
     CPU_FIELDS = ("eip", "cf", "pf", "zf", "sf", "of", "if_flag", "df",
                   "cpl", "cr0", "cr2", "cr4", "esp0", "idt_base",
                   "cycles", "timer_interval", "timer_next",
-                  "pending_irq", "instret")
+                  "pending_irq", "instret", "fault_depth")
 
-    def __init__(self, machine):
+    #: Disk controller registers and transfer counters.  Idle at boot,
+    #: live mid-workload: a checkpoint may fall between a command and
+    #: the driver's status read.
+    DISK_FIELDS = ("sector", "count", "dma", "status", "reads", "writes")
+
+    def __init__(self, machine, base=None, pages=None, blocks=None):
         cpu = machine.cpu
         self.kernel = machine.kernel
         self.layout = machine.layout
-        self.ram = bytes(machine.bus.ram)
+        if base is None:
+            self.ram = bytes(machine.bus.ram)
+            self.disk = bytes(machine.disk.image)
+        else:
+            self.ram = base.ram
+            self.disk = base.disk
+        self.pages = pages or {}
+        self.blocks = blocks or {}
         self.cr3 = machine.bus.cr3
         self.paging_enabled = machine.bus.paging_enabled
-        self.disk = bytes(machine.disk.image)
+        self.disk_regs = {name: getattr(machine.disk, name)
+                          for name in self.DISK_FIELDS}
         self.console = bytes(machine.console.buffer)
         self.regs = list(cpu.regs)
         self.segs = list(cpu.segs)
@@ -437,15 +477,18 @@ class MachineSnapshot:
         machine.kernel = self.kernel
         machine.layout = self.layout
         lay = self.layout
-        from repro.cpu.memory import MemoryBus
         bus = MemoryBus(lay.RAM_BYTES)
         bus.ram[:] = self.ram
+        _overlay(bus.ram, self.pages)
         bus.cr3 = self.cr3
         bus.paging_enabled = self.paging_enabled
         machine.bus = bus
         machine.console = ConsoleDevice()
         machine.console.buffer[:] = self.console
         machine.disk = DiskDevice(bus, self.disk)
+        _overlay(machine.disk.image, self.blocks)
+        for name, value in self.disk_regs.items():
+            setattr(machine.disk, name, value)
         machine.dump = DumpDevice()
         bus.attach_device(lay.CONSOLE_PHYS, 0x100, machine.console)
         bus.attach_device(lay.DISK_PHYS, 0x100, machine.disk)
@@ -467,6 +510,91 @@ class MachineSnapshot:
         if machine.translate:
             machine._arm_translation()
         return machine
+
+
+def _overlay(image, chunks):
+    """Write ``{index: bytes}`` 4 KiB *chunks* over *image*."""
+    for index, chunk in chunks.items():
+        start = index << PAGE_SHIFT
+        image[start:start + PAGE_SIZE] = chunk
+
+
+class CheckpointRecorder:
+    """Runs a machine in chunks, taking a checkpoint after each.
+
+    Checkpoint 0 is a full snapshot of the machine as handed over.  Each
+    later one is a copy-on-write :class:`MachineSnapshot` against it:
+    only the 4 KiB RAM pages and disk blocks that differ from checkpoint
+    0 are kept, and a page unchanged since the previous checkpoint
+    shares that checkpoint's bytes object.  The bus's page write
+    counters name the pages to re-read, so a checkpoint costs time in
+    the pages written since the last one, not in the size of RAM.
+
+    ``first_index`` maps every executed address to the index of the last
+    checkpoint taken before the address first executed; a run resumed
+    from that checkpoint reaches the address as the recorded run did.
+    With *interval* ``None`` the run is one chunk and only checkpoint 0
+    exists.
+    """
+
+    def __init__(self, machine, interval):
+        self.machine = machine
+        self.interval = interval
+        self.checkpoints = [machine.snapshot()]
+        self.first_index = {}
+        self._versions = list(machine.bus.page_versions)
+        self._disk_writes = machine.disk.writes
+
+    def run(self, max_cycles):
+        """Run the CPU to completion (raises like :meth:`CPU.run`)."""
+        cpu = self.machine.cpu
+        first = self.first_index
+        executed = set()
+        while True:
+            stop = max_cycles
+            if self.interval is not None:
+                stop = min(cpu.cycles + self.interval, max_cycles)
+            try:
+                cpu.run(stop, coverage=executed)
+            except WatchdogExpired:
+                if stop >= max_cycles:
+                    raise
+            finally:
+                first.update(dict.fromkeys(executed - first.keys(),
+                                           len(self.checkpoints) - 1))
+            self.take()
+
+    def take(self):
+        """Checkpoint the machine as it is now; appends and returns it."""
+        machine = self.machine
+        base = self.checkpoints[0]
+        previous = self.checkpoints[-1]
+        ram = machine.bus.ram
+        versions = machine.bus.page_versions
+        pages = dict(previous.pages)
+        for index in compress(count(), map(ne, versions, self._versions)):
+            start = index << PAGE_SHIFT
+            page = bytes(ram[start:start + PAGE_SIZE])
+            if page == base.ram[start:start + PAGE_SIZE]:
+                pages.pop(index, None)
+            elif pages.get(index) != page:
+                pages[index] = page
+        self._versions = list(versions)
+        blocks = previous.blocks
+        if machine.disk.writes != self._disk_writes:
+            self._disk_writes = machine.disk.writes
+            image = machine.disk.image
+            blocks = {}
+            for start in range(0, len(image), PAGE_SIZE):
+                block = image[start:start + PAGE_SIZE]
+                if block != base.disk[start:start + PAGE_SIZE]:
+                    index = start >> PAGE_SHIFT
+                    old = previous.blocks.get(index)
+                    blocks[index] = old if old == block else bytes(block)
+        snapshot = MachineSnapshot(machine, base=base, pages=pages,
+                                   blocks=blocks)
+        self.checkpoints.append(snapshot)
+        return snapshot
 
 
 def parse_bx_header(image):

@@ -748,7 +748,7 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
                                       coverage=coverage)
         except Exception:
             return None
-        coverage |= harness.golden(workload).coverage
+        coverage.update(harness.golden(workload).coverage)
         names = set()
         for eip in coverage:
             info = harness.kernel.find_function(eip)

@@ -359,6 +359,33 @@ class TestSnapshotStore:
             assert [r.to_dict() for r in results] == serial, label
         assert store.hits > 0
 
+    def test_thawed_golden_keeps_its_checkpoints(self, kernel, binaries,
+                                                 profile, harness, specs,
+                                                 serial, tmp_path):
+        store = SnapshotStore(str(tmp_path / "snapshots"))
+        workloads = {spec.workload for spec in specs}
+        for workload in workloads:
+            store.save(store.key(kernel, workload),
+                       harness.golden(workload))
+        store.save_constant(kernel, "crash_overhead",
+                            harness.crash_overhead())
+        warm = InjectionHarness(kernel, binaries, profile,
+                                snapshot_store=store)
+        results = [warm.run_spec(spec, grade=False).to_dict()
+                   for spec in specs]
+        assert warm.boots == 0
+        assert results == serial
+        for workload in workloads:
+            fresh = harness.golden(workload)
+            thawed = warm.golden(workload)
+            assert len(thawed.checkpoints) == len(fresh.checkpoints) > 1
+            assert thawed.first_index == fresh.first_index
+            for mine, theirs in zip(thawed.checkpoints,
+                                    fresh.checkpoints):
+                assert mine.pages == theirs.pages
+                assert mine.blocks == theirs.blocks
+                assert mine.fields == theirs.fields
+
     def test_corrupt_entry_falls_back_to_boot(self, kernel, binaries,
                                               profile, tmp_path):
         store = SnapshotStore(str(tmp_path / "snapshots"))
