@@ -18,6 +18,12 @@ happens once; execution happens many times with no fetch, no
 decode-cache validation, no per-instruction event checks, and no
 per-instruction call dispatch.
 
+Translation is tiered.  A campaign is thousands of short runs that
+execute most of their code a few times, and compiling a trace costs
+far more than interpreting it once; so a dispatch key is interpreted
+(``_step_one``) on its first ``HOT_THRESHOLD`` cache misses and
+translated on the next.  Boot and oops paths mostly never compile.
+
 The generated code exploits what the interpreter cannot: within a
 block, ``cycles``/``instret`` retires are *batched* into compile-time
 constants, arithmetic flags live in Python locals (a ``cmp``+``jcc``
@@ -92,6 +98,11 @@ MAX_TRACE = 64
 #: every tick; 120 cycles against the 20000-cycle timer keeps that
 #: window under ~1% of a tick.
 WORST_CAP = 120
+
+#: cache misses a dispatch key is interpreted (``_step_one``) before
+#: it is translated; docs/translation.md ("Tiering") has the sweep
+#: that chose the value.
+HOT_THRESHOLD = 64
 
 #: Ops after which a block must end.  Control transfers (the block must
 #: publish a dynamic ``next_eip``), IF-enabling ops (an IRQ window may
@@ -893,7 +904,7 @@ def _gen_source(items, user, end_eip):
     accesses + retire — conservative ``_cost`` for generic handler
     calls).  The source depends only on the instruction bytes and the
     CPL, so one compiled ``_make`` serves every machine cloned from
-    the same kernel (see ``_get_make``).
+    the same kernel (see ``_MAKE_CACHE``).
     """
     em = _Emit(user)
     terminated = False
@@ -947,15 +958,13 @@ def _gen_source(items, user, end_eip):
 _MAKE_CACHE = {}
 
 
-def _get_make(source):
-    fn = _MAKE_CACHE.get(source)
-    if fn is None:
-        if len(_MAKE_CACHE) > 16384:
-            _MAKE_CACHE.clear()
-        namespace = {}
-        exec(compile(source, "<translated-block>", "exec"), namespace)
-        fn = namespace["_make"]
-        _MAKE_CACHE[source] = fn
+def _compile_make(source):
+    if len(_MAKE_CACHE) > 16384:
+        _MAKE_CACHE.clear()
+    namespace = {}
+    exec(compile(source, "<translated-block>", "exec"), namespace)
+    fn = namespace["_make"]
+    _MAKE_CACHE[source] = fn
     return fn
 
 
@@ -1018,10 +1027,18 @@ class BlockCache:
         self.blocks = {}
         #: phys page -> [(lo, hi, key)] byte ranges of resident blocks
         self.page_ranges = {}
+        #: dispatch key -> cache misses interpreted so far; a key is
+        #: translated once it reaches ``HOT_THRESHOLD``
+        self.heat = {}
         self.translated = 0
         self.hits = 0
         self.invalidations = 0
         self.single_steps = 0
+        #: the part of ``single_steps`` spent on not-yet-hot heads
+        self.cold_steps = 0
+        #: fresh ``compile()`` calls / blocks bound from ``_TEMPLATES``
+        self.compiles = 0
+        self.template_hits = 0
         #: set by :meth:`note_write` whenever a store evicts blocks;
         #: generated code checks it after every store so a closure
         #: whose own bytes were just rewritten side-exits at the
@@ -1038,6 +1055,9 @@ class BlockCache:
             "hits": self.hits,
             "invalidations": self.invalidations,
             "single_steps": self.single_steps,
+            "cold_steps": self.cold_steps,
+            "compiles": self.compiles,
+            "template_hits": self.template_hits,
             "resident": len(self.blocks),
         }
 
@@ -1088,9 +1108,11 @@ class BlockCache:
         self.invalidations += 1
 
     def flush(self):
-        """Drop every translated block (counters are preserved)."""
+        """Drop every translated block and all heat (counters are
+        preserved)."""
         self.blocks.clear()
         self.page_ranges.clear()
+        self.heat.clear()
 
     # -- discovery + compilation ---------------------------------------
 
@@ -1175,6 +1197,7 @@ class BlockCache:
                         break
                     pieces.append(piece)
                 if pieces is not None and b"".join(pieces) == raw:
+                    self.template_hits += 1
                     return self._materialize(cpu, eip, key, make,
                                              generics, worst, eips,
                                              spans)
@@ -1273,7 +1296,10 @@ class BlockCache:
             if not spans:
                 return None
             source, gen_list, worst = _gen_source(items, user, addr)
-            make = _get_make(source)
+            make = _MAKE_CACHE.get(source)
+            if make is None:
+                make = _compile_make(source)
+                self.compiles += 1
             generics = tuple(gen_list)
             eips = frozenset(i.addr for i, _ in items)
             raw = b"".join(i.raw for i, _ in items)
@@ -1313,14 +1339,24 @@ class BlockCache:
         untranslatable head drops back to the outer loop (or to
         single-step interpretation), so state-changing paths always
         re-derive the horizon.
+
+        Tiering: a miss on a key that has missed fewer than
+        ``HOT_THRESHOLD`` times interprets one instruction instead of
+        translating, so code that runs only a few times is never
+        fetched for discovery, compiled or registered.
         """
         bus = self.bus
         get_block = self.blocks.get
+        heat = self.heat
+        get_heat = heat.get
+        hot = HOT_THRESHOLD
+        max_heat = self.max_blocks
         deliver = cpu.deliver_trap
         # The loop only exits by raising (shutdown, watchdog, panic,
-        # budget); the hit counter lives in a local on the hot path
-        # and lands in telemetry on the way out.
+        # budget); the hit and cold-step counters live in locals on the
+        # hot path and land in telemetry on the way out.
         hits = 0
+        cold = 0
         try:
             while True:
                 cycles = cpu.cycles
@@ -1367,6 +1403,14 @@ class BlockCache:
                         key = (bus.tlb_gen, eip, cpu.cpl)
                     block = get_block(key)
                     if block is None:
+                        n = get_heat(key, 0)
+                        if n < hot:
+                            if not n and len(heat) >= max_heat:
+                                heat.clear()
+                            heat[key] = n + 1
+                            cold += 1
+                            _step_one(cpu, eip)
+                            break
                         block = self._translate(cpu, eip, key)
                     else:
                         hits += 1
@@ -1392,3 +1436,5 @@ class BlockCache:
                     break
         finally:
             self.hits += hits
+            self.cold_steps += cold
+            self.single_steps += cold

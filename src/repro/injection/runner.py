@@ -508,7 +508,8 @@ class InjectionHarness:
             if grade:
                 severity, fs_status = grade_severity(
                     self.kernel, result.disk_image,
-                    golden_files=self.golden_critical_files())
+                    golden_files=self.golden_critical_files(),
+                    translate=self.translate)
                 fields.update(severity=severity, fs_status=fs_status)
             return InjectionResult(**fields)
         if result.status == "triple_fault":
@@ -531,7 +532,8 @@ class InjectionHarness:
         if grade and not same_disk:
             severity, fs_status = grade_severity(
                 self.kernel, result.disk_image,
-                golden_files=self.golden_critical_files())
+                golden_files=self.golden_critical_files(),
+                translate=self.translate)
             fields.update(fs_status=fs_status)
             # A run that "succeeded" but left an unbootable system is the
             # paper's case 1: no crash, yet reformat required.
@@ -595,7 +597,8 @@ class InjectionHarness:
         if grade:
             severity, fs_status = grade_severity(
                 self.kernel, result.disk_image,
-                golden_files=self.golden_critical_files())
+                golden_files=self.golden_critical_files(),
+                translate=self.translate)
             fields.update(severity=severity, fs_status=fs_status)
         return InjectionResult(**fields)
 

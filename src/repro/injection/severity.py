@@ -37,9 +37,10 @@ SEVERITY_DOWNTIME = {
 RECOVERED_DOWNTIME = 10
 
 
-def _reboots_cleanly(kernel, disk_image, budget=4_000_000):
+def _reboots_cleanly(kernel, disk_image, budget=4_000_000,
+                     translate=False):
     """Try to bring the system back up with no workload configured."""
-    machine = Machine(kernel, disk_image)
+    machine = Machine(kernel, disk_image, translate=translate)
     result = machine.run(max_cycles=budget)
     if result.status != "shutdown" or result.exit_code != 0:
         return False
@@ -48,7 +49,7 @@ def _reboots_cleanly(kernel, disk_image, budget=4_000_000):
 
 
 def grade_severity(kernel, disk_image, golden_files=None,
-                   check_reboot=True):
+                   check_reboot=True, translate=False):
     """Grade post-crash damage.
 
     Args:
@@ -58,6 +59,8 @@ def grade_severity(kernel, disk_image, golden_files=None,
             corruption is unrecoverable, e.g. ``/bin/init``.
         check_reboot: attempt an actual reboot when fsck found
             structural damage (slow; skipped for clean/dirty disks).
+        translate: run the reboot attempt on the translated fast path,
+            as the harness's own runs do (bit-identical either way).
 
     Returns:
         ``(severity, fsck_status)``.
@@ -66,7 +69,8 @@ def grade_severity(kernel, disk_image, golden_files=None,
     if report.status == "unrecoverable":
         return SEVERITY_MOST_SEVERE, report.status
     if report.status == "inconsistent":
-        if check_reboot and not _reboots_cleanly(kernel, report.repaired):
+        if check_reboot and not _reboots_cleanly(kernel, report.repaired,
+                                                 translate=translate):
             return SEVERITY_MOST_SEVERE, report.status
         return SEVERITY_SEVERE, report.status
     # clean or just mounted-dirty: the boot-time fsck handles it.

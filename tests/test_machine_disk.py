@@ -167,3 +167,30 @@ class TestSeverityReboot:
         disk[BLOCK_SIZE + 2] = 0        # inconsistent -> repair+reboot
         severity, status = grade_severity(kernel, bytes(disk))
         assert severity == "most_severe"
+
+    def test_reboot_check_agrees_across_execution_modes(
+            self, kernel, binaries, monkeypatch):
+        """The reboot check runs in the harness's execution mode, and
+        both modes grade every damaged disk alike."""
+        from repro.injection import severity
+        from repro.machine.machine import build_standard_disk
+        modes = []
+
+        class SpyMachine(severity.Machine):
+            def __init__(self, *args, translate=False, **kwargs):
+                modes.append(translate)
+                super().__init__(*args, translate=translate, **kwargs)
+
+        monkeypatch.setattr(severity, "Machine", SpyMachine)
+        trimmed = {k: v for k, v in binaries.items() if k != "init"}
+        for bins, expected in ((binaries, "severe"),
+                               (trimmed, "most_severe")):
+            disk = bytearray(build_standard_disk(bins, None))
+            struct.pack_into("<I", disk, 8 * 4, 0)
+            disk[BLOCK_SIZE + 2] = 0
+            interpreted, translated = (
+                severity.grade_severity(kernel, bytes(disk),
+                                        translate=translate)
+                for translate in (False, True))
+            assert interpreted == translated == (expected, "inconsistent")
+        assert modes == [False, True, False, True]

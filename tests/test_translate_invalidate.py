@@ -13,12 +13,25 @@ the same contract the injection campaigns rely on.
 
 import hashlib
 
+import pytest
+
+from repro.cpu import translate
 from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
 from repro.cpu.memory import MemoryBus
 from repro.cpu.translate import BlockCache
 from repro.isa.assembler import assemble
 
 BASE = 0x1000
+
+
+@pytest.fixture(autouse=True)
+def translate_every_head(monkeypatch):
+    """These programs run for tens of cycles, far fewer than the
+    dispatches a head needs to get hot; translating every head at once
+    keeps them testing generated code, not the cold-step interpreter.
+    """
+    monkeypatch.setattr(translate, "HOT_THRESHOLD", 0)
+
 
 LOOP_SRC = """
 _start:
